@@ -10,31 +10,57 @@ yield, sigma volatility, T time to expiry in years.
 
 from __future__ import annotations
 
+import math
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from repro.errors import FinanceError
 
 ArrayLike = Union[float, np.ndarray]
 
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _lower_tail(x: np.ndarray) -> np.ndarray:
+    """``N(-|x|) = 0.5 * erfc(|x| / sqrt(2))``, one libm ``erfc`` pass.
+
+    The small tail of the standard normal at every element.  Going
+    through ``erfc`` of the magnitude (Cephes' own trick in ``ndtr``)
+    keeps full relative accuracy far out in the tail, where ``1 - N``
+    would cancel to zero; the large tail is ``1 - small``.
+    """
+    z = (np.abs(x) * _SQRT1_2).ravel().tolist()
+    return 0.5 * np.fromiter(map(math.erfc, z), float, len(z)).reshape(x.shape)
+
+
+def ndtr(x: ArrayLike) -> ArrayLike:
+    """Standard normal CDF, element-wise."""
+    x = np.asarray(x, dtype=float)
+    small = _lower_tail(x)
+    return np.where(x > 0, 1.0 - small, small)[()]
+
+
+def _check_positive(value: ArrayLike, what: str) -> None:
+    bad = np.any(np.asarray(value) <= 0) if np.ndim(value) else value <= 0
+    if bad:
+        raise FinanceError(f"{what} must be positive")
+
 
 def _validate(S: ArrayLike, K: ArrayLike, sigma: ArrayLike, T: ArrayLike) -> None:
-    try:
-        # Scalar fast path: plain comparisons, no asarray/np.any round trip.
-        if S > 0 and K > 0 and sigma > 0 and T > 0:
-            return
-    except (TypeError, ValueError):
-        pass  # array operand -> ambiguous truth value; use vector checks
-    if np.any(np.asarray(S) <= 0):
-        raise FinanceError("spot price must be positive")
-    if np.any(np.asarray(K) <= 0):
-        raise FinanceError("strike must be positive")
-    if np.any(np.asarray(sigma) <= 0):
-        raise FinanceError("volatility must be positive")
-    if np.any(np.asarray(T) <= 0):
-        raise FinanceError("time to expiry must be positive")
+    _check_positive(S, "spot price")
+    _check_positive(K, "strike")
+    _check_positive(sigma, "volatility")
+    _check_positive(T, "time to expiry")
+
+
+def _d1_d2(S, K, r, sigma, T, q):
+    sqrtT = np.sqrt(T)
+    d1 = (np.log(np.asarray(S) / K) + (r - q + 0.5 * sigma**2) * T) / (
+        sigma * sqrtT
+    )
+    d2 = d1 - sigma * sqrtT
+    return d1, d2
 
 
 def d1_d2(
@@ -47,12 +73,7 @@ def d1_d2(
 ):
     """The standard d1/d2 terms."""
     _validate(S, K, sigma, T)
-    sqrtT = np.sqrt(T)
-    d1 = (np.log(np.asarray(S) / K) + (r - q + 0.5 * sigma**2) * T) / (
-        sigma * sqrtT
-    )
-    d2 = d1 - sigma * sqrtT
-    return d1, d2
+    return _d1_d2(S, K, r, sigma, T, q)
 
 
 def call_price(
@@ -82,30 +103,42 @@ def put_price(
 
 
 def price_call_put_delta(
-    S: ArrayLike,
-    K: ArrayLike,
-    r: ArrayLike,
-    sigma: ArrayLike,
-    T: ArrayLike,
-    q: ArrayLike = 0.0,
+    S: np.ndarray,
+    K: np.ndarray,
+    r: float,
+    sigma: float,
+    T: float,
+    q: float = 0.0,
 ):
-    """Call value, put value, and call delta in one pass.
+    """Call value, put value, and call delta of a batch, in one pass.
+
+    The batch kernel behind BenchEx's per-request pricing.  ``S`` and
+    ``K`` are 1-D arrays its caller has already made positive (see
+    :func:`~repro.finance.workload.process_request`), so only the
+    scalar ``sigma`` and ``T`` are validated.  One ``erfc`` pass over
+    ``|d1|, |d2|`` yields both ``N(d)`` and ``N(-d)``.
 
     Float-identical to calling :func:`call_price`, :func:`put_price`
-    and :func:`delta` separately — every product keeps the same
-    left-to-right association, only the shared ``d1``/``d2``/discount
-    subexpressions are computed once instead of three times.
+    and :func:`delta` separately: :func:`ndtr` derives ``N(d)`` and
+    ``N(-d)`` from the same small tail, and every product keeps the
+    same left-to-right association.
     """
-    d1, d2 = d1_d2(S, K, r, sigma, T, q)
-    nd1 = ndtr(d1)
-    nd2 = ndtr(d2)
+    _check_positive(sigma, "volatility")
+    _check_positive(T, "time to expiry")
+    d1, d2 = _d1_d2(S, K, r, sigma, T, q)
+    n = len(d1)
+    d = np.concatenate((d1, d2))
+    small = _lower_tail(d)
+    large = 1.0 - small
+    up = d > 0
+    nd = np.where(up, large, small)  # N(d1), N(d2)
+    nmd = np.where(up, small, large)  # N(-d1), N(-d2)
     disc_q = np.exp(-q * T)
-    disc_r = np.exp(-r * T)
     S_disc = S * disc_q
-    K_disc = K * disc_r
-    call = S_disc * nd1 - K_disc * nd2
-    put = K_disc * ndtr(-d2) - S_disc * ndtr(-d1)
-    call_delta = disc_q * nd1
+    K_disc = K * np.exp(-r * T)
+    call = S_disc * nd[:n] - K_disc * nd[n:]
+    put = K_disc * nmd[n:] - S_disc * nmd[:n]
+    call_delta = disc_q * nd[:n]
     return call, put, call_delta
 
 

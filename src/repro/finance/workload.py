@@ -58,18 +58,18 @@ def process_request(req: PricingRequest, rng: np.random.Generator) -> Tuple[Pric
     an exchange reprices a book of neighbouring strikes.
     """
     n = req.n_options
-    spots = req.spot * (1.0 + 0.01 * rng.standard_normal(n))
-    strikes = req.strike * (1.0 + 0.05 * (rng.random(n) - 0.5))
-    spots = np.clip(spots, 1e-6, None)
-    strikes = np.clip(strikes, 1e-6, None)
+    # Flooring at 1e-6 keeps every spot and strike positive, which is
+    # the batch kernel's precondition.
+    spots = np.maximum(req.spot * (1.0 + 0.01 * rng.standard_normal(n)), 1e-6)
+    strikes = np.maximum(req.strike * (1.0 + 0.05 * (rng.random(n) - 0.5)), 1e-6)
     calls, puts, deltas = price_call_put_delta(
         spots, strikes, req.rate, req.sigma, req.expiry_years
     )
     result = PricingResult(
         request_id=req.request_id,
-        mean_call=float(np.mean(calls)),
-        mean_put=float(np.mean(puts)),
-        mean_delta=float(np.mean(deltas)),
+        mean_call=float(np.add.reduce(calls) / n),
+        mean_put=float(np.add.reduce(puts) / n),
+        mean_delta=float(np.add.reduce(deltas) / n),
     )
     return result, n * NS_PER_OPTION
 

@@ -775,7 +775,7 @@ def _unpack_barrier(frame: bytes) -> Tuple[int, bool, List[Message]]:
 
 
 def _shard_worker(
-    build, domains, bounds, until_ns, lookahead_ns, coalesce, conn
+    build, domains, bounds, until_ns, lookahead_ns, coalesce, conn, inherited
 ) -> None:
     """One shard's process: windows, barriers, final phase, envelope.
 
@@ -783,7 +783,14 @@ def _shard_worker(
     window/drain/ingest entry points once (no per-window attribute or
     shard-map lookups) and exchanges struct-packed frames with the
     parent, whose stride decision arrives piggybacked on the inbox.
+
+    ``inherited`` are the parent-side pipe ends the fork copied into
+    this process (its own and every earlier shard's).  They are closed
+    first, so the parent holds the only other end of each pipe and a
+    worker sees EOF as soon as the parent closes or dies.
     """
+    for end in inherited:
+        end.close()
     envelope: Dict[str, Any] = {}
     ambient = _invariants.current()
     monitor = _invariants.monitor_for_mode(ambient.mode)
@@ -870,11 +877,12 @@ def _run_forked(
 
     def _spawn(s: int) -> None:
         parent_conn, child_conn = ctx.Pipe()
+        inherited = [c for c in pipes if c is not None] + [parent_conn]
         proc = ctx.Process(
             target=_shard_worker,
             args=(
                 build, shard_map.domains_of(s), list(bounds), until_ns,
-                lookahead_ns, coalesce, child_conn,
+                lookahead_ns, coalesce, child_conn, inherited,
             ),
             name=f"repro-shard-{s}",
         )
@@ -1025,6 +1033,7 @@ def _run_forked(
     # faults and brings total fork-run CPU back to parity with serial.
     gc.collect()
     gc.freeze()
+    finished = False
     try:
         for s in range(shards):
             _spawn(s)
@@ -1118,8 +1127,15 @@ def _run_forked(
                     "envelope was due (protocol desync)"
                 )
             envelopes.append(pickle.loads(frame[1:]))
+        finished = True
     finally:
         gc.unfreeze()
+        if not finished:
+            # The run is failing and no worker will be read again: stop
+            # the survivors now instead of waiting out the join below.
+            for proc in procs:
+                if proc is not None and proc.is_alive():
+                    proc.kill()
         for conn in pipes:
             if conn is not None:
                 try:

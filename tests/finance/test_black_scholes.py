@@ -16,6 +16,7 @@ from repro.finance import (
     theta,
     vega,
 )
+from repro.finance.black_scholes import ndtr, price_call_put_delta
 
 # Haug (1998) reference: S=60, K=65, r=8%, sigma=30%, T=0.25 -> C=2.1334
 HAUG = dict(S=60.0, K=65.0, r=0.08, sigma=0.30, T=0.25)
@@ -50,6 +51,75 @@ class TestReferenceValues:
         assert divd < plain
 
 
+class TestNormalCdf:
+    # Phi(x) to double precision, from a 40-digit evaluation of
+    # erfc(-x/sqrt(2))/2.
+    REFERENCE = [
+        (-8.0, 6.220960574271784e-16),
+        (-5.0, 2.866515718791939e-07),
+        (-1.96, 0.024997895148220435),
+        (0.0, 0.5),
+        (1.96, 0.9750021048517795),
+        (5.0, 0.9999997133484281),
+    ]
+
+    @pytest.mark.parametrize("x, want", REFERENCE)
+    def test_reference_values(self, x, want):
+        assert abs(ndtr(x) - want) <= 1e-14 * want
+
+    def test_vectorised_matches_scalar(self):
+        xs = np.array([x for x, _ in self.REFERENCE])
+        got = ndtr(xs)
+        assert got.shape == xs.shape
+        assert list(got) == [ndtr(x) for x in xs]
+
+    def test_tails_sum_to_one(self):
+        xs = np.linspace(-12.0, 12.0, 4801)
+        total = ndtr(xs) + ndtr(-xs)
+        assert np.all(np.abs(total - 1.0) <= 2 * np.spacing(1.0))
+
+    def test_monotone(self):
+        values = ndtr(np.linspace(-40.0, 40.0, 80001))
+        assert np.all(np.diff(values) >= 0.0)
+        assert values[0] == 0.0 and values[-1] == 1.0
+
+
+class TestBatchKernel:
+    """``price_call_put_delta`` against the one-at-a-time functions."""
+
+    @staticmethod
+    def _batch(seed, n=125):
+        rng = np.random.default_rng(seed)
+        spots = 100.0 * (1.0 + 0.5 * (rng.random(n) - 0.25))
+        strikes = 100.0 * (1.0 + 0.8 * (rng.random(n) - 0.5))
+        return spots, strikes
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "r, sigma, T, q",
+        [(0.02, 0.25, 0.5, 0.0), (0.08, 0.05, 0.02, 0.01), (0.0, 1.2, 3.0, 0.03)],
+    )
+    def test_agrees_with_separate_calls(self, seed, r, sigma, T, q):
+        S, K = self._batch(seed)
+        call, put, call_delta = price_call_put_delta(S, K, r, sigma, T, q)
+        for got, want in (
+            (call, call_price(S, K, r, sigma, T, q)),
+            (put, put_price(S, K, r, sigma, T, q)),
+            (call_delta, delta(S, K, r, sigma, T, q)),
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        gap = call - put - (S * np.exp(-q * T) - K * np.exp(-r * T))
+        assert np.all(np.abs(gap) <= 1e-10 * K)
+
+    @pytest.mark.parametrize(
+        "sigma, T, match", [(0.0, 1.0, "volatility"), (0.2, -1.0, "expiry")]
+    )
+    def test_scalar_inputs_validated(self, sigma, T, match):
+        S, K = self._batch(0, n=4)
+        with pytest.raises(FinanceError, match=match):
+            price_call_put_delta(S, K, 0.02, sigma, T)
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -63,6 +133,18 @@ class TestValidation:
     def test_bad_inputs_rejected(self, kwargs):
         with pytest.raises(FinanceError):
             call_price(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(S=np.array([1.0, -1.0]), K=100.0), "spot"),
+            (dict(S=100.0, K=[90.0, 0.0]), "strike"),
+            (dict(S=np.array([90.0, 110.0]), K=np.array([0.0, 1.0])), "strike"),
+        ],
+    )
+    def test_bad_array_inputs_rejected(self, kwargs, match):
+        with pytest.raises(FinanceError, match=match):
+            call_price(r=0.05, sigma=0.2, T=1.0, **kwargs)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(FinanceError):

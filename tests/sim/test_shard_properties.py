@@ -17,6 +17,9 @@ the cluster model (a scripted toy world with echo replies stands in):
 Runs under the pinned derandomized profiles of ``tests/conftest.py``.
 """
 
+import os
+import time
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -457,6 +460,7 @@ class TestForkBackendToyWorld:
             def _on_msg(self, msg):
                 raise RuntimeError("boom in shard worker")
 
+        start = time.monotonic()
         with pytest.raises(ShardSyncError, match="boom"):
             run_sharded(
                 lambda doms: ExplodingWorld(doms, [(0, 0, 1, 0, 0)]),
@@ -467,6 +471,46 @@ class TestForkBackendToyWorld:
                 merge=_merge,
                 backend="fork",
             )
+        # The surviving worker is stopped, not waited out.
+        assert time.monotonic() - start < 5.0
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_workers_hold_only_their_own_pipe_end(self):
+        """Each fork worker closes the parent-side pipe ends it
+        inherited (its own and earlier shards'), so closing the parent
+        end, or the parent dying, reaches every worker as EOF."""
+
+        def sockets():
+            fds = os.listdir("/proc/self/fd")
+            links = []
+            for fd in fds:
+                try:
+                    links.append(os.readlink(f"/proc/self/fd/{fd}"))
+                except OSError:  # the listing's own descriptor
+                    pass
+            return sum(link.startswith("socket:") for link in links)
+
+        class FdWorld(EchoWorld):
+            def __init__(self, domains, schedule):
+                super().__init__(domains, schedule)
+                self.sockets = sockets()
+
+            def finalize(self):
+                return self.sockets
+
+        baseline = sockets()
+        counts, _ = run_sharded(
+            lambda doms: FdWorld(doms, []),
+            n_domains=3,
+            shards=3,
+            until_ns=UNTIL,
+            lookahead_ns=LOOKAHEAD,
+            merge=list,
+            backend="fork",
+        )
+        assert counts == [baseline + 1] * 3
 
 
 class TestRunShardedValidation:

@@ -12,6 +12,7 @@ the exhausted budget.
 """
 
 import json
+import time
 
 import pytest
 
@@ -67,11 +68,14 @@ class TestKillRecovery:
         assert _canonical(result.metrics()) == _canonical(serial_reference)
 
     def test_unrecovered_death_names_barrier_window_and_signal(self):
+        start = time.monotonic()
         with pytest.raises(ShardSyncError) as err:
             run_cluster(
                 SMOKE, seed=7, shards=2, backend="fork",
                 worker_faults=(WorkerKill(shard=1, at_barrier=2),),
             )
+        # Fail fast: the survivor is stopped, no join timeout runs out.
+        assert time.monotonic() - start < 5.0
         message = str(err.value)
         assert "shard 1" in message
         assert "barrier" in message
@@ -80,12 +84,14 @@ class TestKillRecovery:
         assert "recovery is off" in message
 
     def test_exhausted_respawn_budget_is_terminal_and_named(self):
+        start = time.monotonic()
         with pytest.raises(ShardSyncError, match="respawn budget exhausted"):
             run_cluster(
                 SMOKE, seed=7, shards=2, backend="fork",
                 recovery=RecoveryPolicy(max_respawns=0),
                 worker_faults=(WorkerKill(shard=0, at_barrier=1),),
             )
+        assert time.monotonic() - start < 5.0
 
 
 class TestDiskRestore:
