@@ -62,6 +62,7 @@ ordered message stream), which is what makes ``shards=1`` and
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -961,6 +962,12 @@ def build_cluster(spec: "ClusterSpec | str", seed: int = 7) -> ClusterSetup:
     """Wire a serial cluster scenario without advancing simulated time."""
     if isinstance(spec, str):
         spec = cluster_spec(spec)
+    # A finished world is one large reference cycle that only a full
+    # collection frees, and the collector's own schedule may not reach
+    # it before the next world is wired: collect first, so back-to-back
+    # runs hold one world at a time (run_sharded does the same before
+    # it forks).
+    gc.collect()
     return ClusterSetup(
         spec=spec, seed=seed, world=ClusterWorld(spec, seed)
     )

@@ -16,6 +16,7 @@ to the built platform before the first event fires.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
@@ -198,6 +199,9 @@ def build_scenario(
     if isinstance(policy, str):
         policy = policy_by_name(policy)()
 
+    # Free a finished scenario's world (a reference cycle) before wiring
+    # the next, as build_cluster does.
+    gc.collect()
     bed = Testbed.paper_testbed(seed=seed)
     if telemetry is not None:
         bed.env.telemetry = telemetry

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro.errors import CQOverflowError
 from repro.hw.memory import Buffer
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -90,8 +90,9 @@ class CompletionQueue:
         self.producer_index += 1
         self.total_completions += 1
         self.total_bytes_completed += cqe.byte_len
-        if self._arrival_event is not None and not self._arrival_event.triggered:
-            self._arrival_event.succeed()
+        arrival = self._arrival_event
+        if arrival is not None and arrival._value is PENDING:
+            arrival.succeed()
             self._arrival_event = None
 
     # -- guest side -----------------------------------------------------------
@@ -126,10 +127,11 @@ class CompletionQueue:
         if self.pending > 0:
             ev.succeed()
             return ev
-        if self._arrival_event is None or self._arrival_event.triggered:
-            self._arrival_event = Event(self.env)
+        arrival = self._arrival_event
+        if arrival is None or arrival._value is not PENDING:
+            arrival = self._arrival_event = Event(self.env)
         # Chain: multiple waiters share the single hardware-facing event.
-        self._arrival_event.callbacks.append(lambda _e: ev.succeed())
+        arrival.callbacks.append(lambda _e: ev.succeed())
         return ev
 
     def __repr__(self) -> str:

@@ -32,6 +32,14 @@ from repro.sim.events import Event
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.xen.domain import Domain
 
+#: Completion opcode reported for each send-side work request type.
+_SEND_WC_OPCODE = {
+    Opcode.SEND: WCOpcode.SEND,
+    Opcode.RDMA_WRITE: WCOpcode.RDMA_WRITE,
+    Opcode.RDMA_WRITE_WITH_IMM: WCOpcode.RDMA_WRITE,
+    Opcode.RDMA_READ: WCOpcode.RDMA_READ,
+}
+
 
 class HCA:
     """One host channel adapter."""
@@ -212,7 +220,7 @@ class HCA:
                 self._flush_send_queue(qp)
                 break
             wr = qp.send_queue[0]
-            wr_start = env.now
+            wr_start = env._now
             # Doorbell propagation + WR descriptor fetch (plus any
             # injected doorbell stall while a fault is active).
             yield env.timeout(
@@ -233,7 +241,7 @@ class HCA:
                         "hca",
                         wr.opcode.name,
                         wr_start,
-                        env.now,
+                        env._now,
                         lane=f"{self.name}.qp{qp.qp_num}",
                         qp_num=qp.qp_num,
                         domid=qp.domid,
@@ -248,7 +256,7 @@ class HCA:
                     "hca",
                     wr.opcode.name,
                     wr_start,
-                    env.now,
+                    env._now,
                     lane=f"{self.name}.qp{qp.qp_num}",
                     qp_num=qp.qp_num,
                     domid=qp.domid,
@@ -312,7 +320,7 @@ class HCA:
                     status=WCStatus.SUCCESS,
                     byte_len=wr.length,
                     imm_data=wr.imm_data,
-                    timestamp_ns=env.now,
+                    timestamp_ns=env._now,
                     payload=wr.payload,
                 )
             )
@@ -351,7 +359,7 @@ class HCA:
                 status=WCStatus.SUCCESS,
                 byte_len=wr.length,
                 imm_data=wr.imm_data,
-                timestamp_ns=env.now,
+                timestamp_ns=env._now,
                 payload=wr.payload,
             )
         )
@@ -394,12 +402,7 @@ class HCA:
         if not (wr.signaled or force_signal):
             return
         if opcode is None:
-            opcode = {
-                Opcode.SEND: WCOpcode.SEND,
-                Opcode.RDMA_WRITE: WCOpcode.RDMA_WRITE,
-                Opcode.RDMA_WRITE_WITH_IMM: WCOpcode.RDMA_WRITE,
-                Opcode.RDMA_READ: WCOpcode.RDMA_READ,
-            }[wr.opcode]
+            opcode = _SEND_WC_OPCODE[wr.opcode]
         qp.send_cq.hw_push(
             CQE(
                 wr_id=wr.wr_id,
@@ -408,7 +411,7 @@ class HCA:
                 status=status,
                 byte_len=wr.length,
                 imm_data=wr.imm_data,
-                timestamp_ns=self.env.now,
+                timestamp_ns=self.env._now,
             )
         )
 

@@ -150,7 +150,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: int, value: Any = None) -> None:
-        delay = int(delay)
+        if type(delay) is not int:
+            delay = int(delay)
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         self.env = env

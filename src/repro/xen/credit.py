@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from repro.errors import SchedulerError
 from repro.sim.core import Environment
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event, Timeout
 from repro.sim.invariants import GUARD_CREDIT_CAP
 from repro.units import MS
 from repro.xen.vcpu import VCPU, Compute, PollUntil
@@ -30,6 +30,30 @@ from repro.xen.vcpu import VCPU, Compute, PollUntil
 DEFAULT_PERIOD_NS = 10 * MS
 #: Preemption quantum when several VCPUs compete for one PCPU.
 DEFAULT_QUANTUM_NS = 1 * MS
+
+
+class _Wake(Event):
+    """The scheduler's "first of these two events" wait.
+
+    Subscribed as a callback to each sub-event, in the order an
+    ``AnyOf`` over the same list would subscribe, it triggers on the
+    first one processed — so its heap push lands at the same
+    ``(time, priority, sequence)`` slot ``AnyOf`` would take, without
+    building a condition, its event list or a ``ConditionValue``.  A
+    failed sub-event is defused and its exception passed on, as
+    ``Condition`` does.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, event: Event) -> None:
+        if self._value is not PENDING:
+            return
+        if event._ok:
+            self.succeed()
+        else:
+            event._defused = True
+            self.fail(event._value)
 
 
 class PCPUScheduler:
@@ -67,19 +91,11 @@ class PCPUScheduler:
 
     def notify_work(self) -> None:
         """Wake the scheduler loop if it is idling."""
-        if self._work_signal is not None and not self._work_signal.triggered:
-            self._work_signal.succeed()
+        signal = self._work_signal
+        if signal is not None and signal._value is PENDING:
+            signal.succeed()
 
     # -- main loop -------------------------------------------------------------
-    def _eligible(self) -> List[VCPU]:
-        return [
-            v
-            for v in self.vcpus
-            if not v.frozen
-            and v.has_work()
-            and v.used_in_period < v.cap_budget_ns(self.period_ns)
-        ]
-
     def _pick(self, eligible: List[VCPU]) -> VCPU:
         # Virtual-time fairness: clamp waking VCPUs so idleness earns no
         # credit, then run the smallest virtual time (stable tie-break).
@@ -120,13 +136,13 @@ class PCPUScheduler:
                 tel.instant(
                     "credit",
                     "accounting_period",
-                    env.now,
+                    env._now,
                     lane=lane,
                     runnable=sum(1 for v in vcpus if v.has_work()),
                 )
             for v in vcpus:
                 v.used_in_period = 0
-            period_end = env.now + period_ns
+            period_end = env._now + period_ns
 
             while env._now < period_end:
                 eligible = [
@@ -137,9 +153,12 @@ class PCPUScheduler:
                     and v.used_in_period < v.cap_budget_ns(period_ns)
                 ]
                 if not eligible:
-                    if not any(v._work for v in vcpus) and all(
-                        v.used_in_period == 0 for v in vcpus
-                    ):
+                    untouched = True
+                    for v in vcpus:
+                        if v._work or v.used_in_period != 0:
+                            untouched = False
+                            break
+                    if untouched:
                         # Idle with a completely untouched period: sleep
                         # with no timer.  Re-phasing the period on wake is
                         # harmless because no budget has been consumed —
@@ -148,14 +167,15 @@ class PCPUScheduler:
                         self._work_signal = Event(env)
                         yield self._work_signal
                         self._work_signal = None
-                        period_end = env.now + period_ns
+                        period_end = env._now + period_ns
                         continue
                     # Capped out, or idle mid-period: wait for work or the
                     # period boundary (budgets replenish only there).
-                    self._work_signal = Event(env)
-                    yield env.any_of(
-                        [self._work_signal, env.timeout(period_end - env.now)]
-                    )
+                    wake = _Wake(env)
+                    signal = self._work_signal = Event(env)
+                    signal.callbacks.append(wake)
+                    Timeout(env, period_end - env._now).callbacks.append(wake)
+                    yield wake
                     self._work_signal = None
                     continue
 
@@ -164,30 +184,67 @@ class PCPUScheduler:
                 horizon = min(budget_left, period_end - env._now)
                 if horizon <= 0:
                     # Cap boundary rounding: skip to the next period edge.
-                    yield env.timeout(period_end - env.now)
+                    yield Timeout(env, period_end - env._now)
                     continue
                 # Preempt at quantum granularity only when there is actual
                 # competition; a lone VCPU runs to its budget/period edge.
                 if len(eligible) > 1:
                     horizon = min(horizon, quantum_ns)
-                slice_start = env.now
+
+                # --- one slice: run the head work item for <= horizon ---
+                item = vcpu._work[0]
+                slice_start = env._now
                 inv = env.invariants
                 slice_slack = 0
-                if inv.enabled:
+                if inv.enabled and isinstance(item, PollUntil):
                     # A PollUntil slice may legitimately overshoot the
                     # horizon by the final poll check that observes the
                     # completion; anything beyond that is a cap-
                     # accounting violation.
-                    head = vcpu.current_item()
-                    if isinstance(head, PollUntil):
-                        slice_slack = head.check_cost_ns
+                    slice_slack = item.check_cost_ns
                 vcpu._running_since = slice_start
-                ran = yield from self._run_vcpu(vcpu, horizon)
+                if item.started_at is None:
+                    item.started_at = slice_start
+                if isinstance(item, Compute):
+                    ran = min(horizon, item.remaining)
+                    if ran > 0:
+                        yield Timeout(env, ran)
+                    item.remaining -= ran
+                    if item.remaining <= 0:
+                        vcpu._finish_current()
+                elif isinstance(item, PollUntil):
+                    event = item.event
+                    if event.callbacks is None or event._value is not PENDING:
+                        # Completion already there: one poll check sees it.
+                        ran = max(min(item.check_cost_ns, horizon), 1)
+                        yield Timeout(env, ran)
+                        item.polled_ns += ran
+                        vcpu._finish_current(item.polled_ns)
+                    else:
+                        # Poll until the quantum expires or the awaited
+                        # completion is processed, whichever comes first.
+                        wake = _Wake(env)
+                        Timeout(env, horizon).callbacks.append(wake)
+                        event.callbacks.append(wake)
+                        yield wake
+                        ran = env._now - slice_start
+                        item.polled_ns += ran
+                        if event._value is not PENDING:
+                            # Charge the final poll check that observes
+                            # the CQE.
+                            check = item.check_cost_ns
+                            yield Timeout(env, check)
+                            item.polled_ns += check
+                            ran += check
+                            vcpu._finish_current(item.polled_ns)
+                else:  # pragma: no cover
+                    raise SchedulerError(f"unknown work item type: {item!r}")
                 vcpu._running_since = None
+
                 if inv.enabled and not (0 <= ran <= horizon + slice_slack):
                     inv.violation(
                         GUARD_CREDIT_CAP,
-                        env.now,
+                        env._now,
                         f"vcpu{vcpu.vcpu_id} slice ran {ran}ns against a "
                         f"{horizon}ns cap-budget horizon",
                         vcpu=vcpu.vcpu_id,
@@ -206,57 +263,12 @@ class PCPUScheduler:
                         "credit",
                         f"vcpu{vcpu.vcpu_id}",
                         slice_start,
-                        env.now,
+                        env._now,
                         lane=lane,
                         ran_ns=ran,
                         used_in_period_ns=vcpu.used_in_period,
                         cap_pct=vcpu.cap_percent,
                     )
-
-    def _run_vcpu(self, vcpu: VCPU, horizon_ns: int):
-        """Run the VCPU's head work item for at most ``horizon_ns``.
-
-        Returns the CPU time actually consumed.
-        """
-        env = self.env
-        item = vcpu.current_item()
-        assert item is not None
-        if item.started_at is None:
-            item.started_at = env.now
-
-        if isinstance(item, Compute):
-            d = min(horizon_ns, item.remaining)
-            if d > 0:
-                yield env.timeout(d)
-            item.remaining -= d
-            if item.remaining <= 0:
-                vcpu._finish_current()
-            return d
-
-        if isinstance(item, PollUntil):
-            if item.event.callbacks is None or item.event.triggered:
-                # Completion already there: one poll check sees it.
-                d = min(item.check_cost_ns, horizon_ns)
-                d = max(d, 1)
-                yield env.timeout(d)
-                item.polled_ns += d
-                vcpu._finish_current(item.polled_ns)
-                return d
-            start = env.now
-            quantum = env.timeout(horizon_ns)
-            yield env.any_of([quantum, item.event])
-            ran = env.now - start
-            item.polled_ns += ran
-            if item.event.triggered:
-                # Charge the final poll check that observes the CQE.
-                d = item.check_cost_ns
-                yield env.timeout(d)
-                item.polled_ns += d
-                ran += d
-                vcpu._finish_current(item.polled_ns)
-            return ran
-
-        raise SchedulerError(f"unknown work item type: {item!r}")  # pragma: no cover
 
     def utilization(self, elapsed_ns: int) -> float:
         """Fraction of ``elapsed_ns`` spent running guest work."""

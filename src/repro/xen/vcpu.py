@@ -35,7 +35,7 @@ class WorkItem:
 
     def __init__(self, env: "Environment") -> None:
         self.done = Event(env)
-        self.submitted_at = env.now
+        self.submitted_at = env._now
         self.started_at: Optional[int] = None
 
 
@@ -150,9 +150,6 @@ class VCPU:
     # -- work submission --------------------------------------------------------
     def has_work(self) -> bool:
         return bool(self._work)
-
-    def current_item(self) -> Optional[WorkItem]:
-        return self._work[0] if self._work else None
 
     def compute(self, duration_ns: int) -> Event:
         """Submit a compute burst; returns its completion event."""
