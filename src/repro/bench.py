@@ -140,8 +140,8 @@ def sweep_replication(
     """16-seed replication sweep: serial vs pooled vs warm cache.
 
     Measures the parallel experiment engine itself: the same
-    ``replicate_scenario`` fan-out run serially, through a ``jobs``-wide
-    process pool (cold cache), and again warm.  The parent's
+    ``replicate_scenario`` fan-out run serially, ``jobs`` forked cells
+    at a time (cold cache), and again warm.  The parent's
     ``process_time`` cannot see child CPU, so the honest statistics for
     this workload are the wall-clock ratios in ``meta`` —
     ``parallel_speedup_wall`` (bounded by the host's core count, also

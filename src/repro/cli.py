@@ -1321,10 +1321,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="replicate a scenario (or chaos campaign) across seeds "
         "through the parallel sweep engine",
         description=(
-            "Fan independent (scenario, seed) cells out to a process pool "
-            "and aggregate the results.  Parallel equals serial bit for "
-            "bit: results merge in submission order and every cell is a "
-            "self-contained seeded simulation.  With --cache-dir, cells "
+            "Run independent (scenario, seed) cells, one forked child per "
+            "cell with --jobs > 1, and aggregate the results.  Parallel "
+            "equals serial bit for bit: results merge in submission order "
+            "and every cell is a self-contained seeded simulation.  With "
+            "--cache-dir, cells "
             "already computed for this package version are served from "
             "the content-addressed result cache."
         ),

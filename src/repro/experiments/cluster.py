@@ -348,9 +348,9 @@ class _DomainState:
 class WorldFederation:
     """Serial-facing view of the message-passing price federation.
 
-    Presents the surface the old fabric-coupled ``ClusterFederation``
-    exposed to callers (``racks``, ``syncs``, ``cluster_price``) on top
-    of the per-rack :class:`~repro.resex.PriceCoordinator` /
+    Presents the federation-wide surface callers read (``racks``,
+    ``syncs``, ``cluster_price``) on top of the per-rack
+    :class:`~repro.resex.PriceCoordinator` /
     :class:`~repro.resex.PriceAgent` endpoints a world actually runs.
     """
 

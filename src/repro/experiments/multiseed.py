@@ -5,8 +5,9 @@ workload.  For robustness claims — "IOShares keeps the victim within X
 of base" — replicate the scenario across seeds and report the spread.
 
 Replication is embarrassingly parallel, so every helper here runs
-through the :mod:`repro.parallel` engine: ``jobs=`` fans the seeds out
-to a process pool, ``cache=`` short-circuits cells already computed
+through the :mod:`repro.parallel` engine: ``jobs=`` runs up to that
+many seeds at once, one forked child each, ``cache=`` short-circuits
+cells already computed
 for this package version.  Serial (``jobs=1``) and parallel execution
 produce **bit-identical** :class:`Replication` values — cells merge in
 submission order and each cell is a self-contained seeded simulation.
@@ -173,7 +174,8 @@ def replicate_scenario(
     """Run the same scenario across ``seeds``; aggregates the mean
     server-side total latency (us).
 
-    ``jobs`` fans the seeds out to a process pool; ``cache`` (a
+    ``jobs`` runs up to that many seeds at once, one forked child
+    each; ``cache`` (a
     directory or :class:`~repro.parallel.ResultCache`) reuses cells
     already computed for this package version.  Both knobs change only
     wall-clock time, never values.
@@ -193,8 +195,8 @@ def sweep_comparison(
     telemetry=None,
 ) -> Tuple[Dict[str, Replication], SweepReport]:
     """Replicate several configurations over the same seeds, in one
-    sweep — all (configuration, seed) cells share a single pool, so
-    the fan-out is ``len(configurations) * len(seeds)`` wide.
+    sweep — all (configuration, seed) cells share the ``jobs`` worker
+    slots, so the fan-out is ``len(configurations) * len(seeds)`` wide.
     """
     if not seeds:
         raise ConfigError("at least one seed is required")

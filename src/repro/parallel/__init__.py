@@ -1,11 +1,13 @@
-"""Parallel experiment engine: process-pool fan-out + result caching.
+"""Parallel experiment engine: one cell executor + result caching.
 
 ``repro.parallel`` turns the batch layers of the harness —
 replications, comparisons, chaos campaigns, ablation/figure suites —
-from serial for-loops into deterministic process-pool sweeps with a
-content-addressed on-disk result cache.  The contract: **parallel
+from serial for-loops into deterministic sweeps with a
+content-addressed on-disk result cache.  One drive loop runs every
+sweep: cells run in-process with one worker, otherwise each in its own
+forked child, at most ``workers`` at once.  The contract: **parallel
 equals serial, bit for bit** — results merge in submission order and
-every cell is a self-contained seeded simulation, so the pool width
+every cell is a self-contained seeded simulation, so the worker count
 (and the cache) can only change wall-clock time, never a float.
 
 See ``docs/architecture.md`` §12 for the determinism contract and

@@ -63,6 +63,7 @@ __all__ = [
     "load_checkpoint",
     "load_latest",
     "save_checkpoint",
+    "seeded_backoff_s",
     "validate_restore",
 ]
 
@@ -104,6 +105,18 @@ class CheckpointConfig:
         return Path(self.dir)
 
 
+def seeded_backoff_s(key: str, attempt: int, base_s: float, cap_s: float) -> float:
+    """Deterministic jittered exponential backoff before retry
+    ``attempt`` (1-based): ``base_s * 2**(attempt-1)``, capped at
+    ``cap_s``, scaled into [0.5x, 1.5x) by the SHA-256 of
+    ``key:attempt``.  A pure function, so two runs of the same campaign
+    back off on the same schedule."""
+    base = min(base_s * (2.0 ** (attempt - 1)), cap_s)
+    seed = hashlib.sha256(f"{key}:{attempt}".encode()).digest()
+    jitter = int.from_bytes(seed[:8], "big") / 2**64
+    return base * (0.5 + jitter)
+
+
 @dataclass(frozen=True)
 class RecoveryPolicy:
     """Respawn budget and backoff for in-run worker recovery.
@@ -111,10 +124,9 @@ class RecoveryPolicy:
     ``max_respawns`` bounds attempts *per shard*; a shard that keeps
     dying exhausts its budget and the run falls back to the terminal
     :class:`~repro.errors.ShardSyncError` it would have raised without
-    recovery.  The backoff is a pure function of
-    ``(backoff_seed, shard, attempt)`` — the same seeded-jitter
-    discipline as :meth:`repro.supervise.SupervisePolicy.backoff_s` —
-    so two runs of the same campaign recover on the same schedule.
+    recovery.  The backoff is :func:`seeded_backoff_s` keyed by
+    ``(backoff_seed, shard)`` — the same function
+    :meth:`repro.supervise.SupervisePolicy.backoff_s` uses.
     """
 
     max_respawns: int = 2
@@ -133,14 +145,12 @@ class RecoveryPolicy:
     def backoff_s(self, shard: int, attempt: int) -> float:
         """Deterministic jittered delay before respawn ``attempt``
         (1-based) of ``shard``."""
-        base = min(
-            self.backoff_base_s * (2.0 ** (attempt - 1)), self.backoff_cap_s
+        return seeded_backoff_s(
+            f"{self.backoff_seed}:{shard}",
+            attempt,
+            self.backoff_base_s,
+            self.backoff_cap_s,
         )
-        seed = hashlib.sha256(
-            f"{self.backoff_seed}:{shard}:{attempt}".encode()
-        ).digest()
-        jitter = int.from_bytes(seed[:8], "big") / 2**64
-        return base * (0.5 + jitter)
 
 
 class ShardJournal:

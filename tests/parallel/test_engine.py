@@ -153,6 +153,34 @@ class TestErrorContainment:
         assert result.report.errors == len(crashed)
 
 
+    def test_crash_fails_only_the_crashed_cell(self):
+        # Every cell runs in its own child, so seed 1's hard exit takes
+        # down no neighbour, in flight or queued.
+        result = run_sweep(_jobs("test-die", range(4)), workers=2)
+        assert [c.job.seed for c in result.failed()] == [1]
+        assert "exitcode 13" in result.cells[1].error
+        for seed in (0, 2, 3):
+            assert result.cells[seed].metrics == {"value": float(seed)}
+
+
+class TestRegistryCells:
+    def test_scale_is_scoped_to_the_cell(self, monkeypatch):
+        from repro.experiments.figures import ALL_FIGURES, scale_factor
+
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        monkeypatch.setitem(
+            ALL_FIGURES, "test-scale", lambda seed: scale_factor()
+        )
+        before = dict(os.environ)
+        job = SweepJob(
+            "registry", "test-scale", 0, {"registry": "figures", "scale": "full"}
+        )
+        result = run_sweep([job], workers=1)
+        assert result.cells[0].payload == 4.0
+        assert dict(os.environ) == before
+        assert scale_factor() == 1.0
+
+
 class TestTelemetry:
     def test_sweep_records_on_the_bus(self):
         bus = TelemetryBus()

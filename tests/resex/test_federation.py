@@ -5,13 +5,10 @@ import pytest
 from repro.benchex import INTERFERER_2MB, BenchExConfig, BenchExPair, run_pairs
 from repro.errors import PricingError
 from repro.experiments import Testbed
-from repro.hw import LeafSpine
 from repro.resex import (
-    ClusterFederation,
     Follower,
     IOShares,
     LatencySLA,
-    RackFollower,
     ResExController,
     ResExFederation,
 )
@@ -204,108 +201,3 @@ class TestFederation:
         dom_c2 = c.create_guest("b2")
         ctl_c.monitor(dom_c2)
         fed.link((ctl_s, dom_s1.domid), (ctl_c, dom_c2.domid))
-
-
-def build_cluster_bed(racks=3, seed=3):
-    """A minimal leaf-spine cluster: one host per rack, one guest each."""
-    from repro.ib.params import DEFAULT_FABRIC_PARAMS
-
-    bps = DEFAULT_FABRIC_PARAMS.link_bytes_per_sec
-    bed = Testbed(
-        seed=seed,
-        topology_factory=lambda fabric: LeafSpine(
-            fabric, bps, racks=racks, hosts_per_rack=1, spines=1
-        ),
-    )
-    controllers = []
-    for r in range(racks):
-        node = bed.add_node(f"rack{r}-head", ncpus=2)
-        dom = node.create_guest(f"rack{r}-vm")
-        ctl = ResExController(node, IOShares() if r == 0 else RackFollower())
-        ctl.monitor(dom)
-        controllers.append(ctl)
-    return bed, controllers
-
-
-class TestClusterFederation:
-    def test_price_gossips_over_the_fabric(self):
-        """A price discovered in rack 0 reaches every rack's
-        cluster_price after one gather + broadcast round — and not
-        before the broadcast messages have crossed the fabric."""
-        bed, ctls = build_cluster_bed()
-        fed = ClusterFederation(bed.env, bed.fabric, sync_interval_ns=1_000_000)
-        for r, ctl in enumerate(ctls):
-            fed.register(r, ctl)
-        fed.start()
-        ctls[0].vms[0].charge_rate = 7.0
-
-        # At the sync instant the control messages are still in flight.
-        bed.env.run(until=1_000_001)
-        assert fed.cluster_price == 1.0
-        # Well after the round trip: reduced and applied everywhere.
-        bed.env.run(until=1_200_000)
-        assert fed.cluster_price == 7.0
-        assert all(ctl.cluster_price == 7.0 for ctl in ctls)
-        assert fed.syncs == 1
-
-    def test_max_reduce_across_racks(self):
-        bed, ctls = build_cluster_bed()
-        fed = ClusterFederation(bed.env, bed.fabric, sync_interval_ns=1_000_000)
-        for r, ctl in enumerate(ctls):
-            fed.register(r, ctl)
-        fed.start()
-        ctls[1].vms[0].charge_rate = 3.0
-        ctls[2].vms[0].charge_rate = 5.0
-        bed.env.run(until=2_000_000)
-        assert fed.cluster_price == 5.0
-
-    def test_rack_follower_applies_cluster_price(self):
-        """A started RackFollower controller prices its VMs at the
-        federated cluster price and actuates the congestion cap."""
-        bed, ctls = build_cluster_bed()
-        fed = ClusterFederation(bed.env, bed.fabric, sync_interval_ns=1_000_000)
-        for r, ctl in enumerate(ctls):
-            fed.register(r, ctl)
-        follower = ctls[1]
-        follower.start()
-        fed.start()
-        ctls[0].vms[0].charge_rate = 4.0
-        bed.env.run(until=int(0.1 * SEC))
-        vm = follower.vms[0]
-        assert vm.charge_rate == 4.0
-        assert follower.get_cap(vm) == 25  # 100 / price
-
-    def test_paused_federation_loses_rounds(self):
-        bed, ctls = build_cluster_bed()
-        fed = ClusterFederation(bed.env, bed.fabric, sync_interval_ns=1_000_000)
-        for r, ctl in enumerate(ctls):
-            fed.register(r, ctl)
-        fed.start()
-        ctls[0].vms[0].charge_rate = 9.0
-        fed.paused = True
-        bed.env.run(until=3_500_000)
-        assert fed.cluster_price == 1.0
-        assert fed.syncs == 0 and fed.syncs_lost == 3
-        fed.paused = False
-        bed.env.run(until=5_000_000)
-        assert fed.cluster_price == 9.0
-        assert fed.syncs >= 1
-
-    def test_registration_validation(self):
-        bed, ctls = build_cluster_bed()
-        fed = ClusterFederation(bed.env, bed.fabric)
-        fed.register(0, ctls[0])
-        with pytest.raises(PricingError, match="already registered"):
-            fed.register(0, ctls[1])
-        with pytest.raises(PricingError, match="another rack"):
-            fed.register(1, ctls[0])
-        with pytest.raises(PricingError, match="at least two racks"):
-            fed.start()
-        fed.register(1, ctls[1])
-        fed.start()
-        with pytest.raises(PricingError, match="after the federation started"):
-            fed.register(2, ctls[2])
-        with pytest.raises(PricingError, match="positive"):
-            ClusterFederation(bed.env, bed.fabric, sync_interval_ns=0)
-        with pytest.raises(PricingError, match=">= 0"):
-            ClusterFederation(bed.env, bed.fabric, payload_bytes=-1)
